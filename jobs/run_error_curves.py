@@ -7,9 +7,9 @@ import sys
 
 sys.path.insert(0, "src")
 
-from _session import get_spark  # noqa: E402
 from repro.experiments.config import BENCH, TESTS, load_city  # noqa: E402
 from repro.experiments.error_curves import error_curves  # noqa: E402
+from repro.session import get_spark  # noqa: E402
 
 
 def main() -> None:

@@ -7,11 +7,11 @@ import sys
 
 sys.path.insert(0, "src")
 
-from _session import get_spark  # noqa: E402
 from repro.core.search import brute_force, iterative_method, ternary_search  # noqa: E402
 from repro.core.upper_bound import UpperBoundEvaluator  # noqa: E402
 from repro.experiments.config import BENCH, TESTS, load_city  # noqa: E402
 from repro.models import MODELS  # noqa: E402
+from repro.session import get_spark  # noqa: E402
 
 
 def main() -> None:

@@ -8,9 +8,9 @@ import sys
 
 sys.path.insert(0, "src")
 
-from _session import get_spark  # noqa: E402
 from repro.experiments.config import BENCH, TESTS, load_city  # noqa: E402
 from repro.experiments.table3 import run_table3  # noqa: E402
+from repro.session import get_spark  # noqa: E402
 
 
 def main() -> None:

@@ -10,9 +10,9 @@ sys.path.insert(0, "src")
 
 import pandas as pd  # noqa: E402
 
-from _session import get_spark  # noqa: E402
 from repro.experiments.config import BENCH, TESTS, load_city  # noqa: E402
 from repro.experiments.table4 import run_table4  # noqa: E402
+from repro.session import get_spark  # noqa: E402
 
 
 def main() -> None:

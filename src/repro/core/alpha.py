@@ -12,10 +12,11 @@ HGrids are internally uniform, which is how a suitable N is selected.
 """
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame, SparkSession
+import numpy as np
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.grids import GridSpec, hgrid_lattice, with_grid_ids
+from repro.core.grids import GridSpec, grid_spec, with_grid_ids
 
 
 def weekday_days(days: range | list[int]) -> list[int]:
@@ -23,41 +24,36 @@ def weekday_days(days: range | list[int]) -> list[int]:
     return [d for d in days if d % 7 < 5]
 
 
-def alpha_by_hgrid(
-    spark: SparkSession,
-    events: DataFrame,
-    spec: GridSpec,
-    *,
-    slot: int,
-    train_days: list[int],
-) -> DataFrame:
-    """Per-HGrid alpha for one slot: ``(mgrid, hgrid, alpha)``.
+def alpha_table(
+    events: DataFrame, spec: GridSpec, *, slots: int, train_days: list[int]
+) -> np.ndarray:
+    """Dense ``(slots, fine_side^2)`` alphas, indexed ``[slot, hgrid]``.
 
-    Every HGrid of the lattice appears exactly once (missing = alpha 0);
-    alpha = total events over ``train_days`` at ``slot`` divided by the
-    number of training days (days with zero events count in the mean).
+    One Spark aggregation, ``groupBy(slot, hgrid)`` over ``train_days``,
+    serves every slot of a grid size. HGrids that saw no event keep alpha 0
+    (zero-alpha HGrids still carry expression error); alpha = total events
+    divided by the number of training days (days with zero events count in
+    the mean). Group HGrids by MGrid with ``spec.mgrid_of_hgrid``.
     """
     if not train_days:
         raise ValueError("train_days must be non-empty")
-    counts = (
+    pdf = (
         with_grid_ids(events, spec)
-        .where((F.col("slot") == slot) & F.col("day").isin([int(d) for d in train_days]))
-        .groupBy("hgrid")
-        .agg((F.count(F.lit(1)) / F.lit(float(len(train_days)))).alias("alpha"))
+        .where(F.col("day").isin([int(d) for d in train_days]))
+        .groupBy("slot", "hgrid")
+        .agg(F.count(F.lit(1)).alias("cnt"))
+        .toPandas()
     )
-    return (
-        hgrid_lattice(spark, spec)
-        .join(counts, "hgrid", "left")
-        .select("mgrid", "hgrid", F.coalesce("alpha", F.lit(0.0)).alias("alpha"))
+    dense = np.zeros((slots, spec.fine_side**2))
+    dense[pdf["slot"].to_numpy(int), pdf["hgrid"].to_numpy(int)] = (
+        pdf["cnt"].to_numpy(float) / len(train_days)
     )
+    return dense
 
 
-def d_alpha(alpha_df: DataFrame) -> float:
+def d_alpha(alphas: np.ndarray) -> float:
     """``D_alpha(N) = sum_ij |alpha_ij - alpha_bar|`` (Eq. 2) over the lattice."""
-    mean = alpha_df.agg(F.avg("alpha")).first()[0]
-    return float(
-        alpha_df.agg(F.sum(F.abs(F.col("alpha") - F.lit(float(mean))))).first()[0]
-    )
+    return float(np.abs(alphas - alphas.mean()).sum())
 
 
 @dataclass(frozen=True)
@@ -72,11 +68,11 @@ class NSelection:
 
 
 def select_N(
-    spark: SparkSession,
     events: DataFrame,
     cfg,
     *,
     slot: int,
+    slots: int,
     train_days: list[int],
     candidates: list[int] = (8, 16, 32, 64, 128),
     rel_tol: float = 0.10,
@@ -88,14 +84,12 @@ def select_N(
     next doubling grows D_alpha by less than ``rel_tol`` relatively — the
     "turning point" of Fig. 14. Falls back to the largest candidate.
     """
-    from repro.core.grids import grid_spec
-
     cands = sorted(candidates)
     d_values = [
         d_alpha(
-            alpha_by_hgrid(
-                spark, events, grid_spec(cfg, s, s), slot=slot, train_days=train_days
-            )
+            alpha_table(
+                events, grid_spec(cfg, s, s), slots=slots, train_days=train_days
+            )[slot]
         )
         for s in cands
     ]

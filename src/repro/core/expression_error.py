@@ -15,9 +15,11 @@ alpha_ig``), the error of uniform spreading is
   using the incremental e1'/e2' updates of Eq. 17-19;
 * :func:`expression_error_fast` — a vectorised, log-space-stable,
   windowed kernel (same math as Algorithm 2, safe for large beta);
-* :func:`expression_error_by_mgrid` — the Spark driver: one
-  ``applyInPandas`` task per MGrid over the ``(mgrid, hgrid, alpha)``
-  frame produced by :mod:`repro.core.alpha`.
+* :func:`total_expression_error_local` — the sum over every HGrid of one
+  slot, run on the driver over the dense alphas of
+  :func:`repro.core.alpha.alpha_table` (one Spark aggregation per grid
+  size). It is the only production path: the search evaluator and the
+  error-curve harness both call it.
 
 Sign convention: the paper's indicator uses I(0) = +1 (Eq. 18 includes the
 boundary term in the doubled sum); the Delta = 0 terms cancel between e1
@@ -30,9 +32,6 @@ at 0, which the direct-sum and Monte-Carlo tests confirm.
 import math
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 #: width of the Poisson window, in standard deviations, kept by the fast
 #: kernel. 14 sigma bounds the discarded tail mass below ~1e-40.
@@ -123,7 +122,7 @@ def expression_error_alg2(alpha: float, beta: float, m: int, K: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# fast vectorised kernel (used by the Spark pipeline)
+# fast vectorised kernel (the production path)
 # ---------------------------------------------------------------------------
 
 def _log_pois_window(lam: float, k_max: int) -> tuple[int, np.ndarray]:
@@ -206,48 +205,15 @@ def _fast_one(alpha: float, beta: float, m: int, K: int | None) -> float:
     return ((m - 1) * e1 - e2) / m
 
 
-# ---------------------------------------------------------------------------
-# Spark driver
-# ---------------------------------------------------------------------------
-
-def expression_error_by_mgrid(
-    alpha_df: DataFrame, m: int, K: int | None = None
-) -> DataFrame:
-    """Per-MGrid summed expression error: ``(mgrid, expr_error)``.
-
-    One ``applyInPandas`` task per MGrid group runs the vectorised kernel
-    over that MGrid's m alphas — the distribution axis of the paper's "4
-    hours for all HGrids" computation.
-    """
-
-    def _kernel(pdf: pd.DataFrame) -> pd.DataFrame:
-        ee = expression_error_fast(pdf["alpha"].to_numpy(), len(pdf), K)
-        return pd.DataFrame(
-            {"mgrid": [int(pdf["mgrid"].iloc[0])], "expr_error": [float(ee.sum())]}
-        )
-
-    return alpha_df.groupBy("mgrid").applyInPandas(
-        _kernel, schema="mgrid long, expr_error double"
-    )
-
-
-def total_expression_error(alpha_df: DataFrame, m: int, K: int | None = None) -> float:
-    """sum_ij E_e(i,j) over all HGrids (the quantity Algorithm 3 adds up)."""
-    row = expression_error_by_mgrid(alpha_df, m, K).agg(
-        F.sum("expr_error").alias("s")
-    ).first()
-    return float(row["s"])
-
-
 def total_expression_error_local(
     alphas: np.ndarray, mgrid_of_cell: np.ndarray, m: int, K: int | None = None
 ) -> float:
-    """Driver-side twin of :func:`total_expression_error` over pre-aggregated
-    alphas (one value per HGrid, with its MGrid id). Used by the search
-    evaluator, which amortises a single Spark aggregation across all 48
-    slots of a grid size and then runs the O(mK) kernel per MGrid locally —
-    the per-MGrid kernel costs ~0.1 ms, far below a Spark job round trip.
-    Tests pin this against the applyInPandas path."""
+    """sum_ij E_e(i,j) over all HGrids (the quantity Algorithm 3 adds up).
+
+    ``alphas`` holds one value per HGrid and ``mgrid_of_cell`` its MGrid id
+    (``GridSpec.mgrid_of_hgrid``). The O(mK) kernel runs per MGrid on the
+    driver — ~0.1 ms each, far below a Spark job round trip. Tests pin the
+    total to the literal Algorithm 2 summed per HGrid."""
     order = np.argsort(mgrid_of_cell, kind="stable")
     sorted_mg = mgrid_of_cell[order]
     sorted_a = alphas[order]

@@ -15,6 +15,7 @@ as a narrow projection — no UDFs, no shuffles.
 from dataclasses import dataclass
 from math import ceil
 
+import numpy as np
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
@@ -56,6 +57,14 @@ class GridSpec:
     def N(self) -> int:
         return self.N_side**2
 
+    @property
+    def mgrid_of_hgrid(self) -> np.ndarray:
+        """MGrid id of every HGrid id ``0 .. fine_side^2 - 1`` — the same
+        ``(fy // m_side) * n_side + fx // m_side`` map
+        :func:`with_grid_ids` applies to events."""
+        fy, fx = np.divmod(np.arange(self.fine_side**2), self.fine_side)
+        return (fy // self.m_side) * self.n_side + fx // self.m_side
+
 
 def grid_spec(cfg: CityConfig, n_side: int, N_side: int) -> GridSpec:
     """Build the :class:`GridSpec` for city ``cfg`` at MGrid count ``n_side^2``."""
@@ -95,22 +104,3 @@ def with_grid_ids(events: DataFrame, spec: GridSpec, x: str = "x", y: str = "y")
         ).cast("long"),
     )
 
-
-def hgrid_lattice(spark, spec: GridSpec) -> DataFrame:
-    """All ``fine_side^2`` HGrid ids with their MGrid — including cells that
-    never saw an event (their alpha is 0, and zero-alpha HGrids still carry
-    expression error, so aggregations must not drop them)."""
-    return (
-        spark.range(spec.fine_side**2)
-        .withColumnRenamed("id", "hgrid")
-        .withColumn("fx", (F.col("hgrid") % spec.fine_side).cast("int"))
-        .withColumn("fy", (F.col("hgrid") / spec.fine_side).cast("int"))
-        .withColumn(
-            "mgrid",
-            (
-                (F.col("fy") / spec.m_side).cast("int") * spec.n_side
-                + (F.col("fx") / spec.m_side).cast("int")
-            ).cast("long"),
-        )
-        .drop("fx", "fy")
-    )

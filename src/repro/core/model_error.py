@@ -10,7 +10,7 @@ days.
 """
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.grids import GridSpec, with_grid_ids
@@ -66,7 +66,6 @@ def mae(tensor: np.ndarray, model: Predictor, *, eval_days: list[int], slot: int
 
 
 def hgrid_counts_for_days(
-    spark: SparkSession,
     events: DataFrame,
     spec: GridSpec,
     *,

@@ -9,7 +9,7 @@ of materialising the full lattice per day: a day's HGrids of MGrid i that
 saw no event each contribute |lambda_hat_i/m - 0|.
 """
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 
 from repro.core.grids import GridSpec
 from repro.core.model_error import hgrid_counts_for_days, predictions_for
@@ -17,7 +17,6 @@ from repro.models.base import Predictor
 
 
 def measured_real_error(
-    spark: SparkSession,
     events: DataFrame,
     spec: GridSpec,
     tensor: np.ndarray,
@@ -28,7 +27,7 @@ def measured_real_error(
 ) -> float:
     """``sum_ij E_r(i,j)`` estimated over ``eval_days`` for one slot."""
     preds = predictions_for(tensor, model, eval_days, slot)  # (k, n)
-    counts = hgrid_counts_for_days(spark, events, spec, slot=slot, days=eval_days)
+    counts = hgrid_counts_for_days(events, spec, slot=slot, days=eval_days)
     day_pos = {d: k for k, d in enumerate(eval_days)}
     per_h = preds / spec.m  # lambda_hat_ij per (day, mgrid)
     # start from the all-zero-HGrid total: sum_i m * (pred_i/m) = sum_i pred_i
@@ -43,10 +42,8 @@ def measured_real_error(
 
 
 def measured_expression_error(
-    spark: SparkSession,
     events: DataFrame,
     spec: GridSpec,
-    alpha_mgrid: np.ndarray,
     *,
     slot: int,
     eval_days: list[int],
@@ -54,7 +51,7 @@ def measured_expression_error(
     """Empirical ``sum_ij E|lambda_bar_ij - lambda_ij|`` where
     ``lambda_bar_ij = lambda_i(day)/m`` uses the day's *actual* MGrid total
     (Def. 5) — the sanity twin of the analytic Algorithm-2 value."""
-    counts = hgrid_counts_for_days(spark, events, spec, slot=slot, days=eval_days)
+    counts = hgrid_counts_for_days(events, spec, slot=slot, days=eval_days)
     total = 0.0
     for d in eval_days:
         day = counts[counts["day"] == d]

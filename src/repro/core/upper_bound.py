@@ -6,22 +6,20 @@ below backs the §IV search algorithms. Per candidate n it issues two Spark
 aggregations — the (day, slot, mgrid) demand tensor and the
 (slot, hgrid) alpha table — and caches both (pure data prep, amortised
 over the slots the search probes at that n). Per (n, slot) call it trains
-the model fresh and runs the O(mK) Algorithm-2 kernel locally, matching
-the paper's cost anatomy where "the time cost of training the model is
-considerable when calculating e(sqrt(n))". The fully-distributed
-``applyInPandas`` expression-error path lives in
-:func:`repro.core.expression_error.expression_error_by_mgrid` and is used
-by the error-curve harness; tests pin the two paths against each other.
+the model fresh and runs the O(mK) Algorithm-2 kernel on the driver,
+matching the paper's cost anatomy where "the time cost of training the
+model is considerable when calculating e(sqrt(n))". The error-curve
+harness composes the same pieces.
 """
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
+from repro.core.alpha import alpha_table
 from repro.core.expression_error import total_expression_error_local
-from repro.core.grids import GridSpec, grid_spec, with_grid_ids
+from repro.core.grids import GridSpec, grid_spec
 from repro.core.model_error import demand_tensor, total_model_error
 from repro.synth_data import CityConfig
 
@@ -76,28 +74,15 @@ class UpperBoundEvaluator:
             )
         return self._tensors[n_side]
 
-    def _alphas(self, n_side: int) -> tuple[np.ndarray, np.ndarray]:
-        """(slots, fine^2) training-weekday alphas and the HGrid->MGrid map,
-        from ONE Spark aggregation per grid size (amortised over all the
-        slots the search will probe at this n)."""
+    def _alphas(self, n_side: int) -> np.ndarray:
+        """(slots, fine^2) training-weekday alphas from ONE Spark aggregation
+        per grid size (amortised over all the slots the search will probe
+        at this n)."""
         if n_side not in self._alpha_cache:
-            spec = self.spec(n_side)
-            pdf = (
-                with_grid_ids(self.events, spec)
-                .where(F.col("day").isin([int(d) for d in self.train_days]))
-                .groupBy("slot", "hgrid")
-                .agg(F.count(F.lit(1)).alias("cnt"))
-                .toPandas()
+            self._alpha_cache[n_side] = alpha_table(
+                self.events, self.spec(n_side),
+                slots=self.slots, train_days=self.train_days,
             )
-            dense = np.zeros((self.slots, spec.fine_side**2))
-            dense[pdf["slot"].to_numpy(int), pdf["hgrid"].to_numpy(int)] = (
-                pdf["cnt"].to_numpy(float) / len(self.train_days)
-            )
-            h = np.arange(spec.fine_side**2)
-            mg = (h // spec.fine_side // spec.m_side) * spec.n_side + (
-                h % spec.fine_side
-            ) // spec.m_side
-            self._alpha_cache[n_side] = (dense, mg)
         return self._alpha_cache[n_side]
 
     def evaluate(self, n_side: int, slot: int) -> UpperBoundResult:
@@ -109,8 +94,9 @@ class UpperBoundEvaluator:
         tensor = self._tensor(n_side)
         model = self.model_factory().fit(tensor, self.train_days, slot)
         me = total_model_error(tensor, model, eval_days=self.val_days, slot=slot)
-        alphas, mg = self._alphas(n_side)
-        ee = total_expression_error_local(alphas[slot], mg, spec.m, self.K)
+        ee = total_expression_error_local(
+            self._alphas(n_side)[slot], spec.mgrid_of_hgrid, spec.m, self.K
+        )
         res = UpperBoundResult(n_side, slot, me, ee)
         self._bounds[key] = res
         self.calls += 1

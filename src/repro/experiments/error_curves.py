@@ -3,15 +3,16 @@
 For a sweep of grid sizes n this computes, per the paper's definitions:
 total expression error (Algorithm 2), total model error (Eq. 20), their sum
 (the upper bound of Theorem II.1), and the *measured* real error on
-held-out days. Figures are out of scope; the trend assertions in
-``tests/test_trends.py`` and the table harnesses consume these frames.
+held-out days. The bound is built from the same pieces as Algorithm 3's
+search evaluator (:mod:`repro.core.upper_bound`). Figures are out of
+scope; the trend assertions in ``tests/test_trends.py`` and the table
+harnesses consume these frames.
 """
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.alpha import alpha_by_hgrid
-from repro.core.expression_error import total_expression_error
+from repro.core.alpha import alpha_table
+from repro.core.expression_error import total_expression_error_local
 from repro.core.grids import grid_spec
 from repro.core.model_error import demand_tensor, total_model_error
 from repro.core.real_error import measured_real_error
@@ -38,12 +39,12 @@ def error_curves(
         tensor = demand_tensor(data.events, spec, days=st.days, slots=st.slots)
         model = MODELS[model_name]().fit(tensor, st.train_days, slot)
         me = total_model_error(tensor, model, eval_days=st.val_days, slot=slot)
-        alpha_df = alpha_by_hgrid(
-            spark, data.events, spec, slot=slot, train_days=st.train_days
-        )
-        ee = total_expression_error(alpha_df, spec.m, st.K)
+        alphas = alpha_table(
+            data.events, spec, slots=st.slots, train_days=st.train_days
+        )[slot]
+        ee = total_expression_error_local(alphas, spec.mgrid_of_hgrid, spec.m, st.K)
         re = measured_real_error(
-            spark, data.events, spec, tensor, model, slot=slot, eval_days=st.val_days
+            data.events, spec, tensor, model, slot=slot, eval_days=st.val_days
         )
         rows.append(
             {

@@ -37,13 +37,16 @@ class CaseStudyRun:
 
 
 def _predictions_by_slot(
-    data: CityData, s: int, model_name: str
+    data: CityData, s: int, model_name: str, oracle: bool
 ) -> tuple[np.ndarray, object]:
-    """(slots, n) forecasts for the test day at grid side s (model trained
-    once per s on all slots, as the original systems train theirs)."""
+    """(slots, n) demand for the test day at grid side s: the model's
+    forecasts (trained once per s on all slots, as the original systems
+    train theirs), or with ``oracle`` the test day's actual counts."""
     st = data.settings
     spec = grid_spec(data.cfg, s, st.N_side)
     tensor = demand_tensor(data.events, spec, days=st.days, slots=st.slots)
+    if oracle:
+        return tensor[st.test_day], spec
     model = MODELS[model_name]().fit(tensor, st.train_days)
     preds = np.stack(
         [model.predict(tensor, st.test_day, t) for t in range(st.slots)]
@@ -71,11 +74,7 @@ def case_study_run(
     st = data.settings
     P = st.N_side if P is None else P
     orders = day_orders(data.events, data.cfg, day=st.test_day, P=P)
-    preds, spec = _predictions_by_slot(data, s, model_name)
-    if oracle:
-        spec = grid_spec(data.cfg, s, st.N_side)
-        tensor = demand_tensor(data.events, spec, days=st.days, slots=st.slots)
-        preds = tensor[st.test_day]  # (slots, n) actual counts
+    preds, spec = _predictions_by_slot(data, s, model_name, oracle)
     n_drivers = max(50, int(0.02 * len(orders))) if n_drivers is None else n_drivers
     n_vehicles = max(30, int(0.008 * len(orders))) if n_vehicles is None else n_vehicles
     w_polar = polar_weights(preds, spec, P)

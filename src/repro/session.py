@@ -1,0 +1,77 @@
+"""The one SparkSession bootstrap, shared by the test fixture and the
+``jobs/`` entrypoints.
+
+``spark.driver.memory`` and the master are read at JVM launch, not from
+SparkConf, so :func:`get_spark` puts them in ``PYSPARK_SUBMIT_ARGS`` before
+the first session starts the JVM. Per-session configs that *are* honoured
+after launch (shuffle partitions, Arrow, broadcast threshold) go on the
+builder. Broadcast joins are disabled so that join plans do not change with
+input size between test and benchmark scale.
+"""
+import os
+
+from pyspark.sql import SparkSession
+
+
+def _driver_mem() -> str:
+    """~75% of the container's memory limit, for the Spark driver JVM.
+
+    Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
+    limit > 48g fallback. The source is recorded in
+    ``_SPARK_DRIVER_MEM_SRC`` for the test session's start-up line.
+
+    The cgroup read is best-effort: sandboxes such as gVisor may not pass
+    the host limit through their sysfs emulation. An unbounded value
+    (cgroup-v1's ~9.2e18 "unlimited" sentinel, or a missing limit) is
+    treated as absent so the JVM is never handed an impossible heap.
+    """
+    if m := os.environ.get("SPARK_DRIVER_MEM"):
+        return m
+    for p in (
+        "/sys/fs/cgroup/memory.max",
+        "/sys/fs/cgroup/memory/memory.limit_in_bytes",
+    ):
+        try:
+            raw = open(p).read().strip()
+            if not raw or raw == "max":
+                continue
+            gib = int(raw) / (1 << 30)
+            if not (1 <= gib <= 1024):  # v1 "unlimited" → ~8.6e9 GiB
+                continue
+            os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
+            return f"{max(1, int(gib * 0.75))}g"
+        except (OSError, ValueError):
+            continue
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
+    return "48g"
+
+
+def get_spark(app: str) -> SparkSession:
+    """A local-mode SparkSession named ``app``.
+
+    Master (``SPARK_MASTER``, default ``local[*]``), driver memory
+    (:func:`_driver_mem`) and shuffle partitions
+    (``SPARK_SHUFFLE_PARTITIONS``, default 64) can be set from the
+    environment.
+    """
+    os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
+    os.environ.setdefault(
+        "PYSPARK_SUBMIT_ARGS",
+        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
+        f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
+        "--conf spark.driver.host=127.0.0.1 "
+        "--conf spark.ui.enabled=false "
+        "pyspark-shell",
+    )
+    s = (
+        SparkSession.builder.appName(app)
+        .config(
+            "spark.sql.shuffle.partitions",
+            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
+        )
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .getOrCreate()
+    )
+    s.sparkContext.setLogLevel("ERROR")
+    return s

@@ -1,18 +1,18 @@
 """Tests for expression error (paper §III-B, Eq. 7, Algorithms 1-2)."""
+import math
+
 import numpy as np
-import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.alpha import alpha_by_hgrid
+from repro.core.alpha import alpha_table
 from repro.core.expression_error import (
     expression_error_alg1,
     expression_error_alg2,
-    expression_error_by_mgrid,
     expression_error_direct,
     expression_error_fast,
-    total_expression_error,
+    total_expression_error_local,
 )
 from repro.core.grids import grid_spec
 from repro.experiments.config import TESTS
@@ -135,55 +135,28 @@ class TestFastKernel:
         assert np.isfinite(out).all() and (out >= 0).all()
 
 
-class TestSparkDriver:
-    @pytest.fixture(scope="class")
-    def alpha_df(self, spark, nyc):
-        spec = grid_spec(nyc.cfg, 4, 16)
-        return spec, alpha_by_hgrid(
-            spark, nyc.events, spec, slot=TESTS.default_slot,
-            train_days=TESTS.train_days,
-        )
+def _wide_K(lam: float) -> int:
+    """A truncation far past Poisson(lam)'s mass (20 sigma)."""
+    return int(lam + 20.0 * math.sqrt(lam)) + 20
 
-    def test_one_row_per_mgrid(self, alpha_df):
-        spec, df = alpha_df
-        out = expression_error_by_mgrid(df, spec.m).toPandas()
-        assert len(out) == spec.n
-        assert (out["expr_error"] >= 0).all()
 
-    def test_matches_local_kernel(self, alpha_df):
-        """The applyInPandas path equals running the kernel on collected
-        alphas — catches partition/grouping mistakes."""
-        spec, df = alpha_df
-        spark_out = (
-            expression_error_by_mgrid(df, spec.m)
-            .toPandas()
-            .set_index("mgrid")["expr_error"]
-            .sort_index()
-        )
-        pdf = df.toPandas()
-        local = {
-            int(mg): float(expression_error_fast(g["alpha"].to_numpy(), spec.m, None).sum())
-            for mg, g in pdf.groupby("mgrid")
-        }
-        local = pd.Series(local).sort_index()
-        np.testing.assert_allclose(spark_out.to_numpy(), local.to_numpy(), rtol=1e-9)
-
-    def test_total_is_sum(self, alpha_df):
-        spec, df = alpha_df
-        per = expression_error_by_mgrid(df, spec.m).toPandas()["expr_error"].sum()
-        assert total_expression_error(df, spec.m) == pytest.approx(per, rel=1e-9)
-
-    def test_local_total_matches_spark_total(self, alpha_df):
-        """The driver-side path the search evaluator uses equals the
-        distributed applyInPandas path."""
-        from repro.core.expression_error import total_expression_error_local
-
-        spec, df = alpha_df
-        pdf = df.toPandas()
-        local = total_expression_error_local(
-            pdf["alpha"].to_numpy(),
-            pdf["mgrid"].to_numpy(),
-            spec.m,
-            None,
-        )
-        assert local == pytest.approx(total_expression_error(df, spec.m), rel=1e-9)
+@pytest.mark.parametrize("n_side", [3, 4])  # at 3, fine_side 18 != N_side 16
+def test_local_total_matches_literal_alg2(nyc, n_side):
+    """The production total over real NYC alphas equals the paper's literal
+    Algorithm 2 run per HGrid and summed, HGrids grouped into MGrids by
+    ``GridSpec.mgrid_of_hgrid``."""
+    spec = grid_spec(nyc.cfg, n_side, TESTS.N_side)
+    alphas = alpha_table(
+        nyc.events, spec, slots=TESTS.slots, train_days=TESTS.train_days
+    )[TESTS.default_slot]
+    mg = spec.mgrid_of_hgrid
+    ref = 0.0
+    for g in range(spec.n):
+        a = alphas[mg == g]
+        for aj in a:
+            beta = float(a.sum() - aj)
+            K = max(_wide_K(aj), -(-_wide_K(beta) // (spec.m - 1)))
+            ref += expression_error_alg2(float(aj), beta, spec.m, K)
+    assert ref > 0
+    got = total_expression_error_local(alphas, mg, spec.m, TESTS.K)
+    assert got == pytest.approx(ref, rel=1e-8)

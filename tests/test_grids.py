@@ -1,11 +1,13 @@
 """Tests for MGrid/HGrid geometry (paper §II-A / Algorithm 3 line 1)."""
 import math
 
+import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro import synth_data as sd
-from repro.core.grids import grid_spec, hgrid_lattice, with_grid_ids
+from repro.core.grids import grid_spec, with_grid_ids
 from repro.oracle import assert_equivalent
 
 
@@ -106,9 +108,32 @@ class TestWithGridIds:
 
 
 @pytest.mark.parametrize("n_side", [1, 3, 4, 7, 16])
-def test_hgrid_lattice_complete(spark, n_side):
+def test_hgrid_lattice_complete(n_side):
+    """Every HGrid has an MGrid, and every MGrid holds exactly m HGrids."""
     spec = grid_spec(sd.NYC, n_side, 16)
-    lat = hgrid_lattice(spark, spec)
-    assert lat.count() == spec.fine_side**2
-    per_mgrid = lat.groupBy("mgrid").count().select("count").distinct().collect()
-    assert len(per_mgrid) == 1 and per_mgrid[0]["count"] == spec.m
+    mg = spec.mgrid_of_hgrid
+    assert mg.shape == (spec.fine_side**2,)
+    assert (np.bincount(mg, minlength=spec.n) == spec.m).all()
+
+
+@pytest.mark.parametrize("n_side", [1, 3, 4, 7, 16])
+def test_mgrid_of_hgrid_matches_with_grid_ids(spark, n_side):
+    """The numpy map gives the MGrid that with_grid_ids assigns to an
+    event at each HGrid's centre."""
+    cfg = sd.NYC
+    spec = grid_spec(cfg, n_side, 16)
+    fs = spec.fine_side
+    fy, fx = np.divmod(np.arange(fs * fs), fs)
+    centres = spark.createDataFrame(
+        pd.DataFrame(
+            {
+                "x": (fx + 0.5) * cfg.width_km / fs,
+                "y": (fy + 0.5) * cfg.height_km / fs,
+            }
+        )
+    )
+    got = with_grid_ids(centres, spec).select("hgrid", "mgrid").toPandas()
+    assert sorted(got["hgrid"]) == list(range(fs * fs))
+    np.testing.assert_array_equal(
+        got["mgrid"].to_numpy(), spec.mgrid_of_hgrid[got["hgrid"].to_numpy()]
+    )

@@ -108,10 +108,10 @@ class TestEq20:
         assert total_model_error(t, OffBy(), eval_days=[1], slot=0) == pytest.approx(3.0)
 
 
-def test_hgrid_counts_for_days(nyc, spark):
+def test_hgrid_counts_for_days(nyc):
     spec = grid_spec(nyc.cfg, 4, 16)
     pdf = hgrid_counts_for_days(
-        spark, nyc.events, spec, slot=TESTS.default_slot, days=TESTS.val_days
+        nyc.events, spec, slot=TESTS.default_slot, days=TESTS.val_days
     )
     assert set(pdf.columns) == {"day", "hgrid", "mgrid", "cnt"}
     assert set(pdf["day"]).issubset(set(TESTS.val_days))

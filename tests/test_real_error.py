@@ -2,33 +2,39 @@
 import numpy as np
 import pytest
 
+from repro.core.alpha import alpha_table
+from repro.core.expression_error import total_expression_error_local
 from repro.core.grids import grid_spec
 from repro.core.model_error import demand_tensor, total_model_error
 from repro.core.real_error import measured_expression_error, measured_real_error
-from repro.core.alpha import alpha_by_hgrid
-from repro.core.expression_error import total_expression_error
 from repro.experiments.config import TESTS
 from repro.models import DeepSTLike
 
 
+def _analytic_expression_error(nyc, spec) -> float:
+    """Algorithm 2 summed over every HGrid at the default slot."""
+    alphas = alpha_table(
+        nyc.events, spec, slots=TESTS.slots, train_days=TESTS.train_days
+    )[TESTS.default_slot]
+    return total_expression_error_local(alphas, spec.mgrid_of_hgrid, spec.m)
+
+
 @pytest.fixture(scope="module")
-def setup(spark, nyc):
+def setup(nyc):
     spec = grid_spec(nyc.cfg, 4, 16)
     tensor = demand_tensor(nyc.events, spec, days=TESTS.days, slots=TESTS.slots)
     model = DeepSTLike().fit(tensor, TESTS.train_days, TESTS.default_slot)
     return spec, tensor, model
 
 
-def _brute_real_error(spark, nyc, spec, tensor, model, slot, days):
+def _brute_real_error(nyc, spec, tensor, model, slot, days):
     """Reference: materialise the full HGrid lattice per day in pandas."""
     from repro.core.model_error import hgrid_counts_for_days, predictions_for
 
     preds = predictions_for(tensor, model, days, slot)
-    counts = hgrid_counts_for_days(spark, nyc.events, spec, slot=slot, days=days)
-    # hgrid -> mgrid mapping over the whole lattice
-    fs, ms, ns = spec.fine_side, spec.m_side, spec.n_side
-    h = np.arange(fs * fs)
-    mg = (h // fs // ms) * ns + (h % fs) // ms
+    counts = hgrid_counts_for_days(nyc.events, spec, slot=slot, days=days)
+    fs = spec.fine_side
+    mg = spec.mgrid_of_hgrid
     total = 0.0
     for k, d in enumerate(days):
         lam = np.zeros(fs * fs)
@@ -39,23 +45,23 @@ def _brute_real_error(spark, nyc, spec, tensor, model, slot, days):
     return total / len(days)
 
 
-def test_measured_real_error_matches_bruteforce(spark, nyc, setup):
+def test_measured_real_error_matches_bruteforce(nyc, setup):
     spec, tensor, model = setup
     fast = measured_real_error(
-        spark, nyc.events, spec, tensor, model,
+        nyc.events, spec, tensor, model,
         slot=TESTS.default_slot, eval_days=TESTS.val_days,
     )
     ref = _brute_real_error(
-        spark, nyc, spec, tensor, model, TESTS.default_slot, TESTS.val_days
+        nyc, spec, tensor, model, TESTS.default_slot, TESTS.val_days
     )
     assert fast == pytest.approx(ref, rel=1e-9)
 
 
-def test_real_error_nonnegative(spark, nyc, setup):
+def test_real_error_nonnegative(nyc, setup):
     spec, tensor, model = setup
     assert (
         measured_real_error(
-            spark, nyc.events, spec, tensor, model,
+            nyc.events, spec, tensor, model,
             slot=TESTS.default_slot, eval_days=TESTS.val_days,
         )
         >= 0
@@ -63,7 +69,7 @@ def test_real_error_nonnegative(spark, nyc, setup):
 
 
 @pytest.mark.parametrize("n_side", [2, 4, 8])
-def test_theorem_II_1_bound_dominates(spark, nyc, n_side):
+def test_theorem_II_1_bound_dominates(nyc, n_side):
     """E_r <= E_m + E_e in total, measured on held-out days.
 
     The bound uses the analytic expression error (Algorithm 2 over
@@ -74,32 +80,26 @@ def test_theorem_II_1_bound_dominates(spark, nyc, n_side):
     tensor = demand_tensor(nyc.events, spec, days=TESTS.days, slots=TESTS.slots)
     model = DeepSTLike().fit(tensor, TESTS.train_days, TESTS.default_slot)
     me = total_model_error(tensor, model, eval_days=TESTS.val_days, slot=TESTS.default_slot)
-    alpha_df = alpha_by_hgrid(
-        spark, nyc.events, spec, slot=TESTS.default_slot, train_days=TESTS.train_days
-    )
-    ee = total_expression_error(alpha_df, spec.m)
+    ee = _analytic_expression_error(nyc, spec)
     re = measured_real_error(
-        spark, nyc.events, spec, tensor, model,
+        nyc.events, spec, tensor, model,
         slot=TESTS.default_slot, eval_days=TESTS.val_days,
     )
     assert re <= (me + ee) * 1.10
 
 
-def test_measured_expression_error_close_to_analytic(spark, nyc):
+def test_measured_expression_error_close_to_analytic(nyc):
     """Def. 5 measured on held-out weekdays ~ Algorithm 2's expectation."""
     spec = grid_spec(nyc.cfg, 4, 16)
-    alpha_df = alpha_by_hgrid(
-        spark, nyc.events, spec, slot=TESTS.default_slot, train_days=TESTS.train_days
-    )
-    analytic = total_expression_error(alpha_df, spec.m)
+    analytic = _analytic_expression_error(nyc, spec)
     empirical = measured_expression_error(
-        spark, nyc.events, spec, None,
+        nyc.events, spec,
         slot=TESTS.default_slot, eval_days=TESTS.val_days,
     )
     assert empirical == pytest.approx(analytic, rel=0.25)
 
 
-def test_perfect_model_real_error_equals_empirical_expression_error(spark, nyc):
+def test_perfect_model_real_error_equals_empirical_expression_error(nyc):
     """With lambda_hat_i = lambda_i (oracle forecasts), Def. 3 real error
     *is* Def. 5 expression error — the paper's 'real order data' identity."""
     spec = grid_spec(nyc.cfg, 4, 16)
@@ -115,11 +115,11 @@ def test_perfect_model_real_error_equals_empirical_expression_error(spark, nyc):
             return t[d, s]
 
     re = measured_real_error(
-        spark, nyc.events, spec, tensor, Oracle(),
+        nyc.events, spec, tensor, Oracle(),
         slot=TESTS.default_slot, eval_days=TESTS.val_days,
     )
     ee = measured_expression_error(
-        spark, nyc.events, spec, None,
+        nyc.events, spec,
         slot=TESTS.default_slot, eval_days=TESTS.val_days,
     )
     assert re == pytest.approx(ee, rel=1e-9)

@@ -54,20 +54,3 @@ def test_elapsed_accumulates(evaluator):
     evaluator.evaluate(2, 20)
     assert evaluator.elapsed > before
 
-
-def test_expr_error_matches_spark_pipeline(spark, nyc, evaluator):
-    """The evaluator's amortised alpha path reproduces exactly the
-    alpha_by_hgrid -> applyInPandas expression-error total."""
-    from repro.core.alpha import alpha_by_hgrid
-    from repro.core.expression_error import total_expression_error
-    from repro.core.grids import grid_spec
-
-    r = evaluator.evaluate(4, TESTS.default_slot)
-    spec = grid_spec(nyc.cfg, 4, TESTS.N_side)
-    alpha_df = alpha_by_hgrid(
-        spark, nyc.events, spec, slot=TESTS.default_slot,
-        train_days=TESTS.train_days,
-    )
-    assert r.expr_error == pytest.approx(
-        total_expression_error(alpha_df, spec.m, TESTS.K), rel=1e-9
-    )
