@@ -1,19 +1,16 @@
-"""Benchmark: one Algorithm-3 UpperBound evaluation as a Spark job —
-the unit of cost every §IV search algorithm pays per candidate n."""
+"""Benchmark: one Algorithm-3 UpperBound evaluation with its lattice
+already counted (the warm-up round runs the count query) — model fit,
+model error and expression-error kernel, the unit of cost every §IV search
+algorithm pays per candidate n."""
 import pytest
 
 from repro.core.upper_bound import UpperBoundEvaluator
 from repro.experiments.config import BENCH
-from repro.models import MODELS
 
 
 @pytest.fixture(scope="module")
 def evaluator(spark, bench_nyc):
-    return UpperBoundEvaluator(
-        spark, bench_nyc.events, bench_nyc.cfg, BENCH.N_side, MODELS["deepst"],
-        days=BENCH.days, slots=BENCH.slots,
-        train_days=BENCH.train_days, val_days=BENCH.val_days, K=BENCH.K,
-    )
+    return UpperBoundEvaluator.for_city(spark, bench_nyc, "deepst")
 
 
 @pytest.mark.parametrize("n_side", [2, 4, 8, 16])

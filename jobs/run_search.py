@@ -10,7 +10,6 @@ sys.path.insert(0, "src")
 from repro.core.search import brute_force, iterative_method, ternary_search  # noqa: E402
 from repro.core.upper_bound import UpperBoundEvaluator  # noqa: E402
 from repro.experiments.config import BENCH, TESTS, load_city  # noqa: E402
-from repro.models import MODELS  # noqa: E402
 from repro.session import get_spark  # noqa: E402
 
 
@@ -26,11 +25,7 @@ def main() -> None:
     spark = get_spark("ogss-search")
     data = load_city(spark, args.city, st)
     slot = st.default_slot if args.slot is None else args.slot
-    evaluator = UpperBoundEvaluator(
-        spark, data.events, data.cfg, st.N_side, MODELS[args.model],
-        days=st.days, slots=st.slots, train_days=st.train_days,
-        val_days=st.val_days, K=st.K,
-    )
+    evaluator = UpperBoundEvaluator.for_city(spark, data, args.model)
     fn = evaluator.bound_fn(slot)
     if args.algo == "ternary":
         res = ternary_search(fn, st.s_min, st.s_max)

@@ -17,8 +17,8 @@ alpha_ig``), the error of uniform spreading is
   windowed kernel (same math as Algorithm 2, safe for large beta);
 * :func:`total_expression_error_local` — the sum over every HGrid of one
   slot, run on the driver over the dense alphas of
-  :func:`repro.core.alpha.alpha_table` (one Spark aggregation per grid
-  size). It is the only production path: the search evaluator and the
+  :meth:`repro.core.counts.GridCounts.alphas` (derived from one Spark
+  aggregation per fine lattice). It is the only production path: the search evaluator and the
   error-curve harness both call it.
 
 Sign convention: the paper's indicator uses I(0) = +1 (Eq. 18 includes the

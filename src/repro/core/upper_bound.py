@@ -2,25 +2,27 @@
 
 ``UpperBound(n, N, X, Model)`` = total model error (n * MAE, Eq. 20)
 + total expression error (Algorithm 2 over every HGrid). The evaluator
-below backs the §IV search algorithms. Per candidate n it issues two Spark
-aggregations — the (day, slot, mgrid) demand tensor and the
-(slot, hgrid) alpha table — and caches both (pure data prep, amortised
-over the slots the search probes at that n). Per (n, slot) call it trains
-the model fresh and runs the O(mK) Algorithm-2 kernel on the driver,
-matching the paper's cost anatomy where "the time cost of training the
-model is considerable when calculating e(sqrt(n))". The error-curve
-harness composes the same pieces.
+below backs the §IV search algorithms. Its data prep is the count layer
+(:class:`repro.core.counts.GridCounts`): one Spark aggregation per distinct
+fine lattice, from which the demand tensor and the alpha table of every
+grid size on that lattice are derived in numpy and memoised. Per
+(n, slot) call it trains the model fresh and runs the O(mK) Algorithm-2
+kernel on the driver, matching the paper's cost anatomy where "the time
+cost of training the model is considerable when calculating e(sqrt(n))".
+The error-curve harness composes the same pieces.
 """
 import time
 from dataclasses import dataclass, field
+from typing import Self
 
-import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.alpha import alpha_table
+from repro.core.counts import GridCounts
 from repro.core.expression_error import total_expression_error_local
 from repro.core.grids import GridSpec, grid_spec
-from repro.core.model_error import demand_tensor, total_model_error
+from repro.core.model_error import total_model_error
+from repro.experiments.config import CityData
+from repro.models import MODELS
 from repro.synth_data import CityConfig
 
 
@@ -60,30 +62,24 @@ class UpperBoundEvaluator:
     K: int | None = None
     calls: int = 0
     elapsed: float = 0.0
-    _tensors: dict = field(default_factory=dict)
-    _alpha_cache: dict = field(default_factory=dict)
     _bounds: dict = field(default_factory=dict)
+    counts: GridCounts = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.counts = GridCounts(self.events, days=self.days, slots=self.slots)
+
+    @classmethod
+    def for_city(cls, spark: SparkSession, data: CityData, model_name: str) -> Self:
+        """A fresh evaluator over ``data`` at its settings' scale."""
+        st = data.settings
+        return cls(
+            spark, data.events, data.cfg, st.N_side, MODELS[model_name],
+            days=st.days, slots=st.slots, train_days=st.train_days,
+            val_days=st.val_days, K=st.K,
+        )
 
     def spec(self, n_side: int) -> GridSpec:
         return grid_spec(self.cfg, n_side, self.N_side)
-
-    def _tensor(self, n_side: int) -> np.ndarray:
-        if n_side not in self._tensors:
-            self._tensors[n_side] = demand_tensor(
-                self.events, self.spec(n_side), days=self.days, slots=self.slots
-            )
-        return self._tensors[n_side]
-
-    def _alphas(self, n_side: int) -> np.ndarray:
-        """(slots, fine^2) training-weekday alphas from ONE Spark aggregation
-        per grid size (amortised over all the slots the search will probe
-        at this n)."""
-        if n_side not in self._alpha_cache:
-            self._alpha_cache[n_side] = alpha_table(
-                self.events, self.spec(n_side),
-                slots=self.slots, train_days=self.train_days,
-            )
-        return self._alpha_cache[n_side]
 
     def evaluate(self, n_side: int, slot: int) -> UpperBoundResult:
         key = (n_side, slot)
@@ -91,11 +87,12 @@ class UpperBoundEvaluator:
             return self._bounds[key]
         t0 = time.perf_counter()
         spec = self.spec(n_side)
-        tensor = self._tensor(n_side)
+        tensor = self.counts.tensor(spec)
         model = self.model_factory().fit(tensor, self.train_days, slot)
         me = total_model_error(tensor, model, eval_days=self.val_days, slot=slot)
         ee = total_expression_error_local(
-            self._alphas(n_side)[slot], spec.mgrid_of_hgrid, spec.m, self.K
+            self.counts.alphas(spec, self.train_days)[slot],
+            spec.mgrid_of_hgrid, spec.m, self.K,
         )
         res = UpperBoundResult(n_side, slot, me, ee)
         self._bounds[key] = res

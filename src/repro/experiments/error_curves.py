@@ -11,10 +11,10 @@ harnesses consume these frames.
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.alpha import alpha_table
+from repro.core.counts import GridCounts
 from repro.core.expression_error import total_expression_error_local
 from repro.core.grids import grid_spec
-from repro.core.model_error import demand_tensor, total_model_error
+from repro.core.model_error import total_model_error
 from repro.core.real_error import measured_real_error
 from repro.experiments.config import CityData
 from repro.models import MODELS
@@ -33,18 +33,17 @@ def error_curves(
     model and real error are measured on validation weekdays."""
     st = data.settings
     slot = st.default_slot if slot is None else slot
+    counts = GridCounts(data.events, days=st.days, slots=st.slots)
     rows = []
     for s in n_sides:
         spec = grid_spec(data.cfg, s, st.N_side)
-        tensor = demand_tensor(data.events, spec, days=st.days, slots=st.slots)
+        tensor = counts.tensor(spec)
         model = MODELS[model_name]().fit(tensor, st.train_days, slot)
         me = total_model_error(tensor, model, eval_days=st.val_days, slot=slot)
-        alphas = alpha_table(
-            data.events, spec, slots=st.slots, train_days=st.train_days
-        )[slot]
+        alphas = counts.alphas(spec, st.train_days)[slot]
         ee = total_expression_error_local(alphas, spec.mgrid_of_hgrid, spec.m, st.K)
         re = measured_real_error(
-            data.events, spec, tensor, model, slot=slot, eval_days=st.val_days
+            counts, spec, tensor, model, slot=slot, eval_days=st.val_days
         )
         rows.append(
             {

@@ -13,8 +13,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.core.counts import GridCounts
 from repro.core.grids import grid_spec
-from repro.core.model_error import demand_tensor, predictions_for
 from repro.core.search import iterative_method
 from repro.core.upper_bound import UpperBoundEvaluator
 from repro.dispatch.ls import ls_weights, mean_fare_by_cell
@@ -44,7 +44,7 @@ def _predictions_by_slot(
     train theirs), or with ``oracle`` the test day's actual counts."""
     st = data.settings
     spec = grid_spec(data.cfg, s, st.N_side)
-    tensor = demand_tensor(data.events, spec, days=st.days, slots=st.slots)
+    tensor = GridCounts(data.events, days=st.days, slots=st.slots).tensor(spec)
     if oracle:
         return tensor[st.test_day], spec
     model = MODELS[model_name]().fit(tensor, st.train_days)
@@ -102,18 +102,7 @@ def find_optimal_s(
 ) -> int:
     """GridTuner's tuned side: Iterative Method (Alg. 5) over the bound."""
     st = data.settings
-    evaluator = UpperBoundEvaluator(
-        spark,
-        data.events,
-        data.cfg,
-        st.N_side,
-        MODELS[model_name],
-        days=st.days,
-        slots=st.slots,
-        train_days=st.train_days,
-        val_days=st.val_days,
-        K=st.K,
-    )
+    evaluator = UpperBoundEvaluator.for_city(spark, data, model_name)
     slot = st.default_slot if slot is None else slot
     res = iterative_method(
         evaluator.bound_fn(slot), st.s_min, st.s_max, p=st.s_default, b=b

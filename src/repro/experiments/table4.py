@@ -21,8 +21,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.core.counts import GridCounts
 from repro.core.grids import grid_spec
-from repro.core.model_error import demand_tensor
 from repro.core.search import brute_force, iterative_method, ternary_search
 from repro.core.upper_bound import UpperBoundEvaluator
 from repro.dispatch.simulator import _allocate, day_orders, spread_to_cells
@@ -30,29 +30,15 @@ from repro.experiments.config import CityData
 from repro.models import MODELS
 
 
-def _make_evaluator(spark: SparkSession, data: CityData, model_name: str) -> UpperBoundEvaluator:
-    st = data.settings
-    return UpperBoundEvaluator(
-        spark,
-        data.events,
-        data.cfg,
-        st.N_side,
-        MODELS[model_name],
-        days=st.days,
-        slots=st.slots,
-        train_days=st.train_days,
-        val_days=st.val_days,
-        K=st.K,
-    )
-
-
 @dataclass
 class _ORMeter:
     """Served orders of a single-slot POLAR matching at grid side s —
-    the o_a / o_r measurement (not charged to any search's cost)."""
+    the o_a / o_r measurement (not charged to any search's cost). It reads
+    the demand tensors from ``counts``, which the brute-force evaluator has
+    already filled for every side."""
 
-    spark: SparkSession
     data: CityData
+    counts: GridCounts
     model_name: str
     P: int
     n_drivers: int
@@ -63,7 +49,6 @@ class _ORMeter:
         self._cells_by_slot = {
             int(s): g["cell"].to_numpy(int) for s, g in orders.groupby("slot")
         }
-        self._tensors: dict[int, np.ndarray] = {}
         self._served: dict[tuple[int, int], int] = {}
 
     def served(self, s: int, slot: int) -> int:
@@ -72,11 +57,7 @@ class _ORMeter:
             return self._served[key]
         st = self.data.settings
         spec = grid_spec(self.data.cfg, s, st.N_side)
-        if s not in self._tensors:
-            self._tensors[s] = demand_tensor(
-                self.data.events, spec, days=st.days, slots=st.slots
-            )
-        tensor = self._tensors[s]
+        tensor = self.counts.tensor(spec)
         model = MODELS[self.model_name]().fit(tensor, st.train_days, slot)
         pred = model.predict(tensor, st.test_day, slot)
         alloc = _allocate(spread_to_cells(pred, spec, self.P), self.n_drivers)
@@ -114,7 +95,7 @@ def run_table4(
     found: dict[str, dict[int, int]] = {}
     stats: dict[str, dict] = {}
     for name, algo in algos.items():
-        evaluator = _make_evaluator(spark, data, model_name)
+        evaluator = UpperBoundEvaluator.for_city(spark, data, model_name)
         t0 = time.perf_counter()
         per_slot = {}
         for slot in slots:
@@ -126,7 +107,8 @@ def run_table4(
         }
 
     optimal = found["Brute-force Search"]
-    meter = _ORMeter(spark, data, model_name, P, n_drivers)
+    # the loop ends on brute force, whose evaluator has counted every side
+    meter = _ORMeter(data, evaluator.counts, model_name, P, n_drivers)
     rows = []
     for name in algos:
         hits = sum(found[name][t] == optimal[t] for t in slots)

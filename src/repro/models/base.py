@@ -1,9 +1,10 @@
 """Predictor interface over the dense demand tensor.
 
 The demand tensor has shape ``(days, slots, n)``: event counts per MGrid
-per 30-minute slot, built by a Spark aggregation
-(:func:`repro.core.model_error.demand_tensor`). A predictor sees only data
-strictly before the target ``(day, slot)`` when predicting it.
+per 30-minute slot, derived from the count layer's one Spark aggregation
+per fine lattice (:meth:`repro.core.counts.GridCounts.tensor`). A
+predictor sees only data strictly before the target ``(day, slot)`` when
+predicting it.
 """
 from typing import Protocol, runtime_checkable
 

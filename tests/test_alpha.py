@@ -5,7 +5,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro import synth_data as sd
-from repro.core.alpha import alpha_table, d_alpha, select_N, weekday_days
+from repro.core.alpha import d_alpha, select_N, weekday_days
 from repro.core.grids import grid_spec
 from repro.experiments.config import TESTS
 from repro.oracle import assert_equivalent
@@ -18,11 +18,9 @@ def test_weekday_days():
 
 class TestAlphaByHGrid:
     @pytest.fixture(scope="class")
-    def alpha(self, nyc):
+    def alpha(self, nyc, nyc_counts):
         spec = grid_spec(nyc.cfg, 4, 16)
-        return spec, alpha_table(
-            nyc.events, spec, slots=TESTS.slots, train_days=TESTS.train_days
-        )
+        return spec, nyc_counts.alphas(spec, TESTS.train_days)
 
     def test_lattice_complete(self, alpha):
         """One alpha per (slot, HGrid) of the whole lattice, zeros included."""
@@ -98,13 +96,11 @@ class TestDAlpha:
         d2 = d_alpha(np.repeat(vals / K, K))
         assert d2 == pytest.approx(d1, rel=1e-9)
 
-    def test_increases_with_N_on_uneven_city(self, nyc):
+    def test_increases_with_N_on_uneven_city(self, nyc, nyc_counts):
         ds = []
         for s in (2, 4, 8, 16):
             spec = grid_spec(nyc.cfg, s, s)
-            a = alpha_table(
-                nyc.events, spec, slots=TESTS.slots, train_days=TESTS.train_days
-            )
+            a = nyc_counts.alphas(spec, TESTS.train_days)
             ds.append(d_alpha(a[TESTS.default_slot]))
         assert ds == sorted(ds)
         assert ds[-1] > ds[0]
@@ -112,8 +108,8 @@ class TestDAlpha:
 
 def test_select_N_returns_candidate(xian):
     sel = select_N(
-        xian.events, xian.cfg, slot=TESTS.default_slot, slots=TESTS.slots,
-        train_days=TESTS.train_days, candidates=[4, 8, 16],
+        xian.events, xian.cfg, slot=TESTS.default_slot, days=TESTS.days,
+        slots=TESTS.slots, train_days=TESTS.train_days, candidates=[4, 8, 16],
     )
     assert sel.chosen_N_side in sel.candidates
     assert len(sel.d_values) == 3

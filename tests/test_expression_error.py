@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.alpha import alpha_table
 from repro.core.expression_error import (
     expression_error_alg1,
     expression_error_alg2,
@@ -141,14 +140,12 @@ def _wide_K(lam: float) -> int:
 
 
 @pytest.mark.parametrize("n_side", [3, 4])  # at 3, fine_side 18 != N_side 16
-def test_local_total_matches_literal_alg2(nyc, n_side):
+def test_local_total_matches_literal_alg2(nyc, nyc_counts, n_side):
     """The production total over real NYC alphas equals the paper's literal
     Algorithm 2 run per HGrid and summed, HGrids grouped into MGrids by
     ``GridSpec.mgrid_of_hgrid``."""
     spec = grid_spec(nyc.cfg, n_side, TESTS.N_side)
-    alphas = alpha_table(
-        nyc.events, spec, slots=TESTS.slots, train_days=TESTS.train_days
-    )[TESTS.default_slot]
+    alphas = nyc_counts.alphas(spec, TESTS.train_days)[TESTS.default_slot]
     mg = spec.mgrid_of_hgrid
     ref = 0.0
     for g in range(spec.n):

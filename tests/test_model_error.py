@@ -4,13 +4,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.grids import grid_spec, with_grid_ids
-from repro.core.model_error import (
-    demand_counts,
-    demand_tensor,
-    hgrid_counts_for_days,
-    mae,
-    total_model_error,
-)
+from repro.core.model_error import demand_counts, mae, total_model_error
 from repro.experiments.config import TESTS
 from repro.models import DeepSTLike
 from repro.oracle import assert_equivalent
@@ -47,21 +41,21 @@ class TestDemandCounts:
 
 
 class TestDemandTensor:
-    def test_shape_and_mass(self, nyc):
+    def test_shape_and_mass(self, nyc, nyc_counts):
         spec = grid_spec(nyc.cfg, 4, 16)
-        t = demand_tensor(nyc.events, spec, days=TESTS.days, slots=TESTS.slots)
+        t = nyc_counts.tensor(spec)
         assert t.shape == (TESTS.days, TESTS.slots, spec.n)
         assert t.sum() == nyc.events.count()
 
-    def test_zero_fill(self, nyc):
+    def test_zero_fill(self, nyc, nyc_counts):
         spec = grid_spec(nyc.cfg, 8, 16)
-        t = demand_tensor(nyc.events, spec, days=TESTS.days, slots=TESTS.slots)
+        t = nyc_counts.tensor(spec)
         assert (t >= 0).all()
         assert (t[:, 0:4, :] == 0).any()  # quiet night slots have empty grids
 
-    def test_matches_direct_count(self, nyc):
+    def test_matches_direct_count(self, nyc, nyc_counts):
         spec = grid_spec(nyc.cfg, 2, 16)
-        t = demand_tensor(nyc.events, spec, days=TESTS.days, slots=TESTS.slots)
+        t = nyc_counts.tensor(spec)
         cnt = (
             with_grid_ids(nyc.events, spec)
             .where((F.col("day") == 5) & (F.col("slot") == 17) & (F.col("mgrid") == 1))
@@ -73,9 +67,9 @@ class TestDemandTensor:
 class TestEq20:
     """total_model_error is exactly sum_i mean_d |pred - actual| = n*MAE."""
 
-    def test_identity_with_mae(self, nyc):
+    def test_identity_with_mae(self, nyc, nyc_counts):
         spec = grid_spec(nyc.cfg, 4, 16)
-        t = demand_tensor(nyc.events, spec, days=TESTS.days, slots=TESTS.slots)
+        t = nyc_counts.tensor(spec)
         model = DeepSTLike().fit(t, TESTS.train_days)
         tme = total_model_error(t, model, eval_days=TESTS.val_days, slot=17)
         m = mae(t, model, eval_days=TESTS.val_days, slot=17)
@@ -108,11 +102,9 @@ class TestEq20:
         assert total_model_error(t, OffBy(), eval_days=[1], slot=0) == pytest.approx(3.0)
 
 
-def test_hgrid_counts_for_days(nyc):
+def test_hgrid_counts_for_days(nyc, nyc_counts):
     spec = grid_spec(nyc.cfg, 4, 16)
-    pdf = hgrid_counts_for_days(
-        nyc.events, spec, slot=TESTS.default_slot, days=TESTS.val_days
-    )
+    pdf = nyc_counts.day_counts(spec, TESTS.default_slot, TESTS.val_days)
     assert set(pdf.columns) == {"day", "hgrid", "mgrid", "cnt"}
     assert set(pdf["day"]).issubset(set(TESTS.val_days))
     total = nyc.events.where(

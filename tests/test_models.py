@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.grids import grid_spec
-from repro.core.model_error import demand_tensor, mae
+from repro.core.model_error import mae
 from repro.experiments.config import TESTS
 from repro.models import MODELS, DeepSTLike, DmvstLike, FlatMLP
 from repro.models.base import closeness_window, period_values, trend_values
@@ -105,9 +105,9 @@ class TestAccuracyOrdering:
     """Paper §V-C: MAE(MLP) > MAE(DeepST) > MAE(Dmvst-Net)."""
 
     @pytest.fixture(scope="class")
-    def maes(self, nyc):
+    def maes(self, nyc, nyc_counts):
         spec = grid_spec(nyc.cfg, 4, 16)
-        tensor = demand_tensor(nyc.events, spec, days=TESTS.days, slots=TESTS.slots)
+        tensor = nyc_counts.tensor(spec)
         out = {}
         for name in ("mlp", "deepst", "dmvst"):
             model = MODELS[name]().fit(tensor, TESTS.train_days)

@@ -3,16 +3,11 @@ import pytest
 
 from repro.core.upper_bound import UpperBoundEvaluator
 from repro.experiments.config import TESTS
-from repro.models import MODELS
 
 
 @pytest.fixture(scope="module")
 def evaluator(spark, nyc):
-    return UpperBoundEvaluator(
-        spark, nyc.events, nyc.cfg, TESTS.N_side, MODELS["deepst"],
-        days=TESTS.days, slots=TESTS.slots,
-        train_days=TESTS.train_days, val_days=TESTS.val_days, K=TESTS.K,
-    )
+    return UpperBoundEvaluator.for_city(spark, nyc, "deepst")
 
 
 def test_bound_is_sum_of_components(evaluator):
@@ -42,11 +37,11 @@ def test_bound_fn_matches_evaluate(evaluator):
     assert fn(6) == evaluator.evaluate(6, TESTS.default_slot).bound
 
 
-def test_tensor_cache_shared_across_slots(evaluator):
+def test_second_slot_at_same_n_runs_no_spark_job(evaluator, spark_jobs):
     evaluator.evaluate(7, 10)
-    n_tensors = len(evaluator._tensors)
-    evaluator.evaluate(7, 11)
-    assert len(evaluator._tensors) == n_tensors
+    calls = evaluator.calls
+    _, jobs = spark_jobs(lambda: evaluator.evaluate(7, 11))
+    assert jobs == 0 and evaluator.calls == calls + 1
 
 
 def test_elapsed_accumulates(evaluator):
